@@ -46,6 +46,7 @@ from repro.parallel.saturate import (  # noqa: E402
     FULL_TXNS_PER_WORKER,
     SMOKE_TXNS_PER_WORKER,
     run_saturation,
+    saturation_cell,
 )
 
 from benchmarks.bench_kernel import FULL_N, SMOKE_N, measure  # noqa: E402
@@ -56,6 +57,11 @@ from benchmarks.bench_obs_overhead import (  # noqa: E402
     measure_journal,
     measure_registry,
 )
+
+#: The flatness check compares a run this many times longer than the
+#: smoke size against the smoke size itself, best of FLAT_REPEATS each.
+FLAT_FACTOR = 8
+FLAT_REPEATS = 5
 
 #: Below this live current-vs-seed churn ratio the kernel optimization
 #: has regressed regardless of what machine wrote the baseline.
@@ -217,35 +223,69 @@ def check_obs_baseline(tolerance: float) -> int:
 
 
 def check_scale_baseline(tolerance: float) -> int:
-    """Gate committed txns/sec/core against BENCH_scale.json.
+    """Gate committed txns/sec/core against BENCH_scale.json, and gate
+    that throughput stays flat as the run grows.
 
-    Smoke-sized (fewer transactions per worker than the committed
-    full-size point) but same per-core normalization; a current figure
-    more than ``tolerance`` below the committed one means whole-stack
-    commit throughput regressed.  Returns an exit status.
+    The baseline comparison re-measures at the committed point's own
+    size and worker count, so a slowdown that only shows in long runs
+    cannot hide behind a shorter measurement.  The flatness check runs
+    one cell at ``SMOKE_TXNS_PER_WORKER`` (N) and at ``FLAT_FACTOR``
+    times that, best of ``FLAT_REPEATS`` each: the long run's rate must
+    stay within ``tolerance`` of the short one's, or per-transaction
+    cost grows with run length.
+    Returns an exit status.
     """
     if not SCALE_BASELINE_PATH.exists():
         print(f"no {SCALE_BASELINE_PATH.name}; run with --update first",
               file=sys.stderr)
         return 2
-    committed = json.loads(SCALE_BASELINE_PATH.read_text())
-    print("== measuring machine saturation (smoke size) ==")
-    current = run_saturation(txns_per_worker=SMOKE_TXNS_PER_WORKER)
+    committed = json.loads(SCALE_BASELINE_PATH.read_text())["metrics"]
+    print("== measuring machine saturation (committed size) ==")
+    current = run_saturation(workers=committed["workers"],
+                             txns_per_worker=committed["txns_per_worker"])
     rate = current["txns_per_sec_per_core"]
-    recorded = committed["metrics"]["txns_per_sec_per_core"]
+    recorded = committed["txns_per_sec_per_core"]
     floor = recorded * (1.0 - tolerance)
     line = (f"saturation: {rate:,.0f} committed txns/s/core on "
-            f"{current['workers']} worker(s) "
+            f"{current['workers']} worker(s) x "
+            f"{current['txns_per_worker']:,} txns "
             f"[committed {recorded:,.0f}, floor {floor:,.0f}]")
+    status = 0
     if rate < floor:
         print(line + "  <-- REGRESSION", file=sys.stderr)
         print(f"whole-stack commit throughput regressed more than "
               f"{tolerance:.0%}; if this machine is simply slower, "
               f"re-baseline with --update", file=sys.stderr)
-        return 1
-    print(line)
-    print("saturation gate OK")
-    return 0
+        status = 1
+    else:
+        print(line)
+
+    short_n = SMOKE_TXNS_PER_WORKER
+    long_n = FLAT_FACTOR * short_n
+    print(f"== flatness: {short_n:,} vs {long_n:,} txns in one cell "
+          f"(best of {FLAT_REPEATS}, interleaved) ==")
+    rates: dict = {short_n: [], long_n: []}
+    for _ in range(FLAT_REPEATS):
+        # Interleaved, so a drift in machine speed hits both sizes; in
+        # process and timed by the cell itself, so worker start-up does
+        # not weigh on the short run.
+        for size in (short_n, long_n):
+            cell = saturation_cell(seed=1_000, txns=size)
+            rates[size].append(cell["committed"] / cell["seconds"])
+    short, long = max(rates[short_n]), max(rates[long_n])
+    floor = short * (1.0 - tolerance)
+    line = (f"flatness: {long:,.0f} txns/s at {long_n:,} vs {short:,.0f} "
+            f"at {short_n:,} ({long / short:.2f}x) [floor {floor:,.0f}]")
+    if long < floor:
+        print(line + "  <-- NOT FLAT", file=sys.stderr)
+        print(f"per-transaction cost grows with run length by more than "
+              f"{tolerance:.0%}", file=sys.stderr)
+        status = 1
+    else:
+        print(line)
+    if status == 0:
+        print("saturation gate OK")
+    return status
 
 
 def run_audit_gate() -> int:
@@ -391,7 +431,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", action="store_true",
                         help="also gate committed txns/sec/core "
                              "against BENCH_scale.json (the "
-                             "machine-saturation trajectory)")
+                             "machine-saturation trajectory, at its "
+                             "recorded size) and require flat "
+                             "throughput from N to 8N transactions")
     parser.add_argument("--journal", action="store_true",
                         help="also run the flight-recorder journal "
                              "self-check (record -> replay -> diff "

@@ -182,9 +182,8 @@ class Cluster:
         while pending:
             pending = False
             for node in list(self.nodes.values()):
-                for context in list(node.contexts.values()):
-                    if context.awaiting_implied_ack and \
-                            context.delegated_from in self.nodes:
+                for context in node.implied_ack_waiters():
+                    if context.delegated_from in self.nodes:
                         self.send_application_data(context.delegated_from,
                                                    node.name)
                         pending = True

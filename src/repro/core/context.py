@@ -41,6 +41,8 @@ class CommitContext:
         self.participant = participant
         self.parent = parent
         self.state = TxnState.ACTIVE
+        #: Creation order at this node (implied acks are applied in it).
+        self.seq = 0
 
         # --- commit-tree shape as seen from this node --------------------
         #: Children enrolled with work in this transaction.
@@ -131,6 +133,9 @@ class CommitContext:
         self.handle: Optional[TransactionHandle] = None
         #: Wrote any TM log record (decides whether an END is needed).
         self.logged_anything = False
+        #: Forced TM records whose on-durable step has not run yet; it
+        #: may still act on this context, so it is not forgotten before.
+        self.forces_in_flight = 0
 
     # ------------------------------------------------------------------
     # Derived facts
@@ -195,6 +200,40 @@ class CommitContext:
         self.heuristic_timer = None
         self.retry_timer = None
 
+    def evictable(self) -> bool:
+        """Finished, with nothing a late message could still need
+        beyond what a :class:`Tombstone` keeps."""
+        return (self.state.terminal and not self.forces_in_flight
+                and not self.recovery_released)
+
     def __repr__(self) -> str:
         return (f"<CommitContext {self.txn_id}@{self.node} "
                 f"{self.role.value}/{self.state.value}>")
+
+
+class Tombstone:
+    """What a node keeps of a transaction once it has forgotten it.
+
+    Late or duplicate messages for a forgotten transaction are answered
+    from these facts (see DESIGN.md, "Forgetting"): the final state,
+    the outcome this node acted on (None for read-only voters and
+    read-only delegators), whether this node initiated commit (a second
+    initiator's prepare still gets its NO vote), the partner that
+    delegated the decision here (its duplicate delegation gets
+    nothing), and the children whose work-done notice never came (their
+    unsolicited vote is absorbed as that notice; None when there are
+    none, as almost always).
+    """
+
+    __slots__ = ("state", "outcome", "initiated", "delegated_from",
+                 "work_pending")
+
+    def __init__(self, context: CommitContext) -> None:
+        self.state = context.state
+        self.outcome = context.outcome
+        self.initiated = context.initiated
+        self.delegated_from = context.delegated_from
+        self.work_pending = set(context.children_work_pending) or None
+
+    def __repr__(self) -> str:
+        return f"<Tombstone {self.state.value} outcome={self.outcome}>"

@@ -115,7 +115,7 @@ class DecisionMixin:
             self.send(MessageType.ABORT, context.delegated_from,
                       context.txn_id,
                       defer=self._defer_decision_send(context))
-            context.awaiting_implied_ack = True
+            self.await_implied_ack(context)
         elif context.delegated_from is not None:
             self.send(MessageType.ABORT, context.delegated_from,
                       context.txn_id)
@@ -146,7 +146,7 @@ class DecisionMixin:
                       flags={"ok_to_leave_out":
                              context.subtree_offers_leave_out()},
                       defer=self._defer_decision_send(context))
-            context.awaiting_implied_ack = True
+            self.await_implied_ack(context)
 
         hold_locks = (context.is_decision_maker and context.spec is not None
                       and context.spec.long_locks and self.config.long_locks)
@@ -182,7 +182,9 @@ class DecisionMixin:
     def on_outcome_message(self: "TMNode", message: Message) -> None:
         outcome = ("commit" if message.msg_type is MessageType.COMMIT
                    else "abort")
-        context = self.ctx(message.txn_id)
+        # A tombstone answers like the finished context it replaced.
+        context = self.ctx(message.txn_id) or \
+            self.tombstone(message.txn_id)
         if context is None or context.state is TxnState.FORGOTTEN:
             # Duplicate delivery after we forgot (e.g. recovery retry).
             self._ack_duplicate_outcome(message, outcome)
@@ -458,11 +460,12 @@ class DecisionMixin:
 
     def handle_implied_ack(self: "TMNode", partner: str) -> None:
         """Any message from ``partner`` implies its pending acks."""
-        for context in self.contexts.values():
-            if context.awaiting_implied_ack and \
-                    context.delegated_from == partner and \
-                    context.state in (TxnState.COMMITTED, TxnState.ABORTED):
+        if partner not in self._implied_ack_waiters:
+            return
+        for context in self.implied_ack_waiters(partner):
+            if context.state in (TxnState.COMMITTED, TxnState.ABORTED):
                 context.awaiting_implied_ack = False
+                self._drop_implied_ack_waiter(context)
                 if context.logged_anything:
                     self.log_tm(context, LogRecordType.END,
                                 payload={"outcome": context.outcome,

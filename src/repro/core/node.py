@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import ProtocolConfig
-from repro.core.context import CommitContext
+from repro.core.context import CommitContext, Tombstone
 from repro.core.decision import DecisionMixin
 from repro.core.handle import TransactionHandle
 from repro.core.heuristics import HeuristicMixin
@@ -74,7 +74,15 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             name="default", node_name=name, simulator=simulator,
             metrics=metrics, log=self.log, reliable=reliable)
         self.detached_rms: Dict[str, ResourceManager] = {}
+        #: Open transactions only: a context leaves this map when it
+        #: reaches a terminal state and a :class:`Tombstone` takes its
+        #: place in ``tombstones`` (see DESIGN.md, "Forgetting").
         self.contexts: Dict[str, CommitContext] = {}
+        self.tombstones: Dict[str, Tombstone] = {}
+        #: Last-agent contexts awaiting a partner's implied ack, per
+        #: partner, so a received message visits only its sender's.
+        self._implied_ack_waiters: Dict[str, Dict[str, CommitContext]] = {}
+        self._context_seq = 0
         self.sessions: Dict[str, Session] = {}
         self._deferred_outbox: Dict[str, List[Message]] = {}
         #: Trace hook: callables invoked with (node, txn_id, text).
@@ -148,11 +156,26 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
             raise ProtocolError(f"{self.name}: no context for {txn_id}")
         return context
 
+    def tombstone(self, txn_id: str) -> Optional[Tombstone]:
+        """What is left of a transaction this node has forgotten."""
+        return self.tombstones.get(txn_id)
+
+    def final_state(self, txn_id: str) -> Optional[TxnState]:
+        """The transaction's state here, open or forgotten (None if
+        this node never knew it or lost it in a crash)."""
+        context = self.contexts.get(txn_id)
+        if context is not None:
+            return context.state
+        tombstone = self.tombstones.get(txn_id)
+        return tombstone.state if tombstone is not None else None
+
     def _new_context(self, txn_id: str, **kwargs: Any) -> CommitContext:
-        if txn_id in self.contexts:
+        if txn_id in self.contexts or txn_id in self.tombstones:
             raise ProtocolError(
                 f"{self.name}: context for {txn_id} already exists")
         context = CommitContext(txn_id=txn_id, node=self.name, **kwargs)
+        self._context_seq += 1
+        context.seq = self._context_seq
         self.contexts[txn_id] = context
         for hook in self.on_transition:
             hook(self.name, txn_id, None, context.state)
@@ -171,10 +194,51 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         context.state = state
         for hook in self.on_transition:
             hook(self.name, context.txn_id, old, state)
+        if state.terminal:
+            self.evict(context)
 
-    def forget(self, context: CommitContext) -> None:
-        context.cancel_timers()
-        self.transition(context, TxnState.FORGOTTEN)
+    def evict(self, context: CommitContext) -> None:
+        """Forget a finished context, keeping only its tombstone.
+
+        A context with an obligation a tombstone cannot carry (a forced
+        record whose callback has not run, or a wait-for-outcome
+        release still owed upstream) stays until it is met.
+        """
+        txn_id = context.txn_id
+        if not context.evictable() or self.contexts.get(txn_id) is not context:
+            return
+        del self.contexts[txn_id]
+        self.tombstones[txn_id] = Tombstone(context)
+        self._drop_implied_ack_waiter(context)
+        for rm in self.all_rms():
+            rm.forget(txn_id)
+
+    def await_implied_ack(self, context: CommitContext) -> None:
+        """The decision went to the delegator; its next message acks it."""
+        context.awaiting_implied_ack = True
+        self._implied_ack_waiters.setdefault(
+            context.delegated_from, {})[context.txn_id] = context
+
+    def _drop_implied_ack_waiter(self, context: CommitContext) -> None:
+        waiters = self._implied_ack_waiters.get(context.delegated_from)
+        if waiters is not None and waiters.pop(context.txn_id, None) \
+                is not None and not waiters:
+            del self._implied_ack_waiters[context.delegated_from]
+
+    def implied_ack_waiters(self, partner: Optional[str] = None
+                            ) -> List[CommitContext]:
+        """Contexts awaiting an implied ack (from ``partner``, or from
+        anyone), in creation order."""
+        if partner is not None:
+            waiters = list(self._implied_ack_waiters.get(partner, {})
+                           .values())
+        else:
+            waiters = [context for group in
+                       self._implied_ack_waiters.values()
+                       for context in group.values()]
+        if len(waiters) > 1:
+            waiters.sort(key=lambda context: context.seq)
+        return waiters
 
     def context_live(self, context: CommitContext) -> bool:
         """True iff this context is still the node's current state for
@@ -385,7 +449,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
 
     def on_data(self, message: Message) -> None:
         if message.flag("enroll"):
-            if self.ctx(message.txn_id) is not None:
+            if self.ctx(message.txn_id) is not None or \
+                    message.txn_id in self.tombstones:
                 # Duplicate delivery of the enrollment: the first copy
                 # already built the context (or the transaction is past
                 # it).  Re-enrolling would redo the local work and
@@ -402,6 +467,9 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         if message.flag("work_done"):
             context = self.ctx(message.txn_id)
             if context is None:
+                tombstone = self.tombstone(message.txn_id)
+                if tombstone is not None and tombstone.work_pending:
+                    tombstone.work_pending.discard(message.src)
                 return
             context.children_work_pending.discard(message.src)
             self._work_complete_check(context)
@@ -416,8 +484,24 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
                payload: Optional[Dict[str, Any]] = None, force: bool = False,
                on_durable: Optional[Callable[[], None]] = None) -> None:
         context.logged_anything = True
+        if on_durable is not None:
+            on_durable = self._track_force(context, on_durable)
         self.log.write(context.txn_id, record_type, payload=payload,
                        force=force, on_durable=on_durable)
+
+    def _track_force(self, context: CommitContext,
+                     on_durable: Callable[[], None]) -> Callable[[], None]:
+        """Hold ``context`` until its forced record's callback has run
+        (a vote hardening after a crossing abort moves the finished
+        context on again), then forget it if it is finished."""
+        context.forces_in_flight += 1
+
+        def durable() -> None:
+            context.forces_in_flight -= 1
+            on_durable()
+            self.evict(context)
+
+        return durable
 
     # ------------------------------------------------------------------
     # Crash / restart
@@ -429,6 +513,8 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         for context in self.contexts.values():
             context.cancel_timers()
         self.contexts.clear()
+        self.tombstones.clear()
+        self._implied_ack_waiters.clear()
         self._deferred_outbox.clear()
         self.log.crash()
         for rm in self.all_rms():

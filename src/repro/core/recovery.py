@@ -460,12 +460,14 @@ class RecoveryMixin:
 
     def on_inquire(self: "TMNode", message: Message) -> None:
         """An in-doubt participant asks us (its coordinator) what happened."""
-        context = self.ctx(message.txn_id)
+        context = self.ctx(message.txn_id) or \
+            self.tombstone(message.txn_id)
         outcome: Optional[str] = None
         if context is not None and context.outcome is not None:
             outcome = context.outcome
         elif context is not None:
-            # Decision still in progress; the normal flow will answer.
+            # Decision still in progress (the normal flow will answer),
+            # or finished without one (a read-only voter): no reply.
             return
         else:
             outcome = self._outcome_from_log(message.txn_id)
@@ -499,8 +501,7 @@ class RecoveryMixin:
         """OUTCOME received: inquiry reply or coordinator-driven push."""
         outcome = message.payload["outcome"]
         context = self.ctx(message.txn_id)
-        if context is None or context.state in (TxnState.FORGOTTEN,
-                                                TxnState.READ_ONLY_DONE):
+        if context is None or context.state.terminal:
             # We know nothing, already finished, or dropped out with a
             # read-only vote (outcome irrelevant to us): close the loop
             # so the coordinator can forget too.
@@ -634,3 +635,4 @@ class RecoveryMixin:
                               "outcome_pending": False},
                           phase=Phase.RECOVERY)
             context.recovery_released = False
+            self.evict(context)

@@ -60,6 +60,16 @@ class VotingMixin:
     # ------------------------------------------------------------------
     def on_prepare(self: "TMNode", message: Message) -> None:
         context = self.ctx(message.txn_id)
+        if context is None:
+            tombstone = self.tombstone(message.txn_id)
+            if tombstone is not None:
+                # Finished here: only a second initiator is answered.
+                if tombstone.initiated:
+                    self.note(message.txn_id,
+                              "two independent initiators detected")
+                    self.send(MessageType.VOTE_NO, message.src,
+                              message.txn_id)
+                return
         if context is not None and context.initiated:
             # Two participants initiated commit independently for the
             # same transaction: protocol error, the transaction aborts.
@@ -223,9 +233,22 @@ class VotingMixin:
             return
         context = self.ctx(message.txn_id)
         vote = _TYPE_VOTES[message.msg_type]
+        tombstone = self.tombstone(message.txn_id) if context is None \
+            else None
+        if tombstone is not None:
+            # A late vote for a transaction finished here: a YES voter
+            # is in doubt and needs the abort we acted on, unless the
+            # vote doubles as its overdue work-done notice.
+            pending = tombstone.work_pending
+            if pending and message.flag("unsolicited") and \
+                    message.src in pending:
+                pending.discard(message.src)
+            elif vote is Vote.YES and tombstone.outcome == "abort":
+                self.send(MessageType.ABORT, message.src, message.txn_id)
+            return
         if context is None:
-            # A stale vote for a transaction we have forgotten (or
-            # never knew).  A NO voter aborted itself and needs no
+            # A stale vote for a transaction we never knew (or lost
+            # in a crash).  A NO voter aborted itself and needs no
             # reply; a YES voter is in doubt and must be answered the
             # way an inquiry would be: from the stable log if it still
             # says anything, else by the configured presumption —
@@ -267,6 +290,16 @@ class VotingMixin:
     def _on_delegation(self: "TMNode", message: Message) -> None:
         """The coordinator handed us (the last agent) the decision."""
         context = self.ctx(message.txn_id)
+        tombstone = self.tombstone(message.txn_id) if context is None \
+            else None
+        if tombstone is not None:
+            # Forgotten here: answer as the finished context would.
+            if tombstone.delegated_from != message.src and (
+                    tombstone.outcome is not None
+                    or tombstone.state is TxnState.FORGOTTEN):
+                self._answer_stale_delegation(message,
+                                              tombstone.outcome)
+            return
         if context is None:
             context = self._new_context(message.txn_id, parent=message.src)
             context.work_done = True
@@ -277,17 +310,8 @@ class VotingMixin:
             return
         elif context.outcome is not None or context.state in (
                 TxnState.ABORTING, TxnState.ABORTED, TxnState.FORGOTTEN):
-            # The delegation crossed our unilateral abort on the wire
-            # (or arrived after we forgot the transaction).  The
-            # delegator is in doubt awaiting our decision; dropping
-            # the message would block it forever, so answer with the
-            # outcome we already hold.
-            outcome = context.outcome or "abort"
-            self.note(message.txn_id,
-                      f"stale delegation from {message.src}; answers "
-                      f"{outcome}")
-            self.send(MessageType.COMMIT if outcome == "commit"
-                      else MessageType.ABORT, message.src, message.txn_id)
+            # The delegation crossed our unilateral abort on the wire.
+            self._answer_stale_delegation(message, context.outcome)
             return
         context.delegated_from = message.src
         context.delegator_read_only = (
@@ -296,6 +320,19 @@ class VotingMixin:
         self.note(message.txn_id, f"receives commit decision from "
                                   f"{message.src} (last agent)")
         self.start_voting(context)
+
+    def _answer_stale_delegation(self: "TMNode", message: Message,
+                                 outcome) -> None:
+        """The delegator is in doubt awaiting our decision (the
+        delegation crossed our abort, or arrived after we forgot);
+        dropping the message would block it forever, so answer with
+        the outcome we already hold."""
+        outcome = outcome or "abort"
+        self.note(message.txn_id,
+                  f"stale delegation from {message.src}; answers "
+                  f"{outcome}")
+        self.send(MessageType.COMMIT if outcome == "commit"
+                  else MessageType.ABORT, message.src, message.txn_id)
 
     # ------------------------------------------------------------------
     # Vote evaluation

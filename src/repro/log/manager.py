@@ -278,4 +278,5 @@ class LogManager:
         return self.stable.records() + list(self._buffer)
 
     def records_for(self, txn_id: str) -> List[LogRecord]:
-        return [r for r in self.all_records() if r.txn_id == txn_id]
+        return self.stable.records_for(txn_id) + [
+            r for r in self._buffer if r.txn_id == txn_id]

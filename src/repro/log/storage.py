@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.log.records import LogRecord, LogRecordType
 
 
 class StableStorage:
-    """An append-only record store that survives simulated crashes."""
+    """An append-only record store that survives simulated crashes.
+
+    Per-transaction lookups go through a ``txn_id -> records`` index
+    kept by :meth:`append`, so answering a late message for a forgotten
+    transaction costs the same however long the log has grown.
+    """
 
     def __init__(self) -> None:
         self._records: List[LogRecord] = []
+        self._by_txn: Dict[str, List[LogRecord]] = {}
 
     def append(self, records: Iterable[LogRecord]) -> None:
         for record in records:
@@ -20,19 +26,24 @@ class StableStorage:
                     f"out-of-order append: lsn {record.lsn} after "
                     f"{self._records[-1].lsn}")
             self._records.append(record)
+            self._by_txn.setdefault(record.txn_id, []).append(record)
+
+    def _replace(self, records: List[LogRecord]) -> None:
+        """Swap in a new record list (compaction) and rebuild the index."""
+        self._records = []
+        self._by_txn = {}
+        StableStorage.append(self, records)
 
     def records(self) -> List[LogRecord]:
         return list(self._records)
 
     def records_for(self, txn_id: str) -> List[LogRecord]:
-        return [r for r in self._records if r.txn_id == txn_id]
+        return list(self._by_txn.get(txn_id, ()))
 
     def last_record_for(self, txn_id: str,
                         record_type: Optional[LogRecordType] = None
                         ) -> Optional[LogRecord]:
-        for record in reversed(self._records):
-            if record.txn_id != txn_id:
-                continue
+        for record in reversed(self._by_txn.get(txn_id, ())):
             if record_type is None or record.record_type == record_type:
                 return record
         return None

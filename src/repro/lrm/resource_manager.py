@@ -49,6 +49,65 @@ class _TxnState:
     keys_touched: Set[str] = field(default_factory=set)
 
 
+class _Work:
+    """One :meth:`ResourceManager.perform` call: its operations run in
+    order, each once its lock is granted.  An object rather than nested
+    closures that call each other, so finished work holds no reference
+    cycle and is freed at once, not at the next garbage collection."""
+
+    __slots__ = ("rm", "txn_id", "state", "remaining", "on_done",
+                 "on_error", "epoch")
+
+    def __init__(self, rm: "ResourceManager", txn_id: str,
+                 state: _TxnState, operations: List[Operation],
+                 on_done: Callable[[], None],
+                 on_error: Optional[Callable[[Exception], None]]) -> None:
+        self.rm = rm
+        self.txn_id = txn_id
+        self.state = state
+        self.remaining = list(operations)
+        self.on_done = on_done
+        self.on_error = on_error
+        self.epoch = rm.epoch
+
+    def run_next(self) -> None:
+        if self.rm.epoch != self.epoch:
+            return  # the RM crashed since this work was scheduled
+        if not self.remaining:
+            self.on_done()
+            return
+        operation = self.remaining.pop(0)
+        mode = LockMode.EXCLUSIVE if operation.is_update else LockMode.SHARED
+        try:
+            self.rm.locks.acquire(self.txn_id, operation.key, mode,
+                                  lambda: self.apply(operation))
+        except DeadlockError as error:
+            if self.on_error is None:
+                raise
+            self.on_error(error)
+
+    def apply(self, operation: Operation) -> None:
+        rm = self.rm
+        if rm.epoch != self.epoch:
+            return
+        txn_id = self.txn_id
+        self.state.keys_touched.add(operation.key)
+        if operation.is_update:
+            previous = rm.store.read(txn_id, operation.key)
+            rm.store.write(txn_id, operation.key, operation.value)
+            self.state.has_updates = True
+            # Data WAL record: never forced here; durability comes
+            # from the prepare-time force (WAL rule).
+            rm.log.write(txn_id, LogRecordType.LRM_UPDATE,
+                         payload={"rm": rm.name,
+                                  "key": operation.key,
+                                  "value": operation.value,
+                                  "previous": previous})
+        else:
+            rm.store.read(txn_id, operation.key)
+        self.run_next()
+
+
 class ResourceManager:
     """One LRM: data store + lock manager + 2PC participant hooks."""
 
@@ -92,45 +151,7 @@ class ResourceManager:
             raise RuntimeError(
                 f"txn {txn_id} already prepared at {self.name}; "
                 f"no further work allowed")
-        remaining = list(operations)
-        epoch = self.epoch
-
-        def run_next() -> None:
-            if self.epoch != epoch:
-                return  # the RM crashed since this work was scheduled
-            if not remaining:
-                on_done()
-                return
-            operation = remaining.pop(0)
-            mode = LockMode.EXCLUSIVE if operation.is_update else LockMode.SHARED
-
-            def apply() -> None:
-                if self.epoch != epoch:
-                    return
-                state.keys_touched.add(operation.key)
-                if operation.is_update:
-                    previous = self.store.read(txn_id, operation.key)
-                    self.store.write(txn_id, operation.key, operation.value)
-                    state.has_updates = True
-                    # Data WAL record: never forced here; durability comes
-                    # from the prepare-time force (WAL rule).
-                    self.log.write(txn_id, LogRecordType.LRM_UPDATE,
-                                   payload={"rm": self.name,
-                                            "key": operation.key,
-                                            "value": operation.value,
-                                            "previous": previous})
-                else:
-                    self.store.read(txn_id, operation.key)
-                run_next()
-
-            try:
-                self.locks.acquire(txn_id, operation.key, mode, apply)
-            except DeadlockError as error:
-                if on_error is None:
-                    raise
-                on_error(error)
-
-        run_next()
+        _Work(self, txn_id, state, operations, on_done, on_error).run_next()
 
     # ------------------------------------------------------------------
     # 2PC participant hooks (invoked by the local transaction manager)
@@ -266,6 +287,12 @@ class ResourceManager:
         self.locks = LockManager(self.simulator, self.metrics,
                                  name=f"{self.name}-locks")
         self._txns.clear()
+
+    def forget(self, txn_id: str) -> None:
+        """The TM forgot the transaction: drop its finished state."""
+        state = self._txns.get(txn_id)
+        if state is not None and state.finished:
+            del self._txns[txn_id]
 
     def redo(self, txn_id: str, key: str, value: object) -> None:
         """Reapply a committed (or in-doubt) update during restart."""

@@ -116,12 +116,12 @@ class OperatorConsole:
         """
         tm = self._node(node)
         context = tm.ctx(txn_id)
-        if context is None:
+        state = tm.final_state(txn_id)
+        if state is None:
             raise ProtocolError(f"{node} knows nothing about {txn_id}")
-        if not tm.heuristic_decide(context, decision):
+        if context is None or not tm.heuristic_decide(context, decision):
             raise ProtocolError(
-                f"{txn_id}@{node} is not in doubt "
-                f"(state {context.state.value})")
+                f"{txn_id}@{node} is not in doubt (state {state.value})")
 
     def force_commit(self, node: str, txn_id: str) -> None:
         self.force_outcome(node, txn_id, "commit")

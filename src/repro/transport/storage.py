@@ -176,7 +176,7 @@ class FileStableStorage(StableStorage):
             finally:
                 os.close(dir_fd)
             self.maintenance_fsyncs += 2
-        self._records = kept
+        self._replace(kept)
         self._fh = open(self.path, "ab")
         return True
 

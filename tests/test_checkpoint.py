@@ -125,7 +125,7 @@ def test_in_doubt_across_checkpoint_resolves():
     cluster.restart_at("s", 20.0)
     cluster.run_until(300.0)
     assert cluster.value("s", "key-s") == 1
-    assert cluster.node("s").ctx(spec.txn_id).state is TxnState.FORGOTTEN
+    assert cluster.node("s").final_state(spec.txn_id) is TxnState.FORGOTTEN
 
 
 def test_in_doubt_across_checkpoint_aborts_cleanly():

@@ -81,8 +81,8 @@ def test_contexts_reach_terminal_states():
     spec = updating_spec("coord", ["sub"])
     cluster.run_transaction(spec)
     for name in ("coord", "sub"):
-        context = cluster.node(name).ctx(spec.txn_id)
-        assert context.state is TxnState.FORGOTTEN
+        assert cluster.node(name).final_state(spec.txn_id) \
+            is TxnState.FORGOTTEN
 
 
 def test_handle_latency_positive():

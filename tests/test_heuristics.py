@@ -114,6 +114,9 @@ def test_pa_reports_only_to_immediate_coordinator():
         participant.ops.append(write_op(f"k-{participant.node}", 1))
     cluster.partition_at("mid", "leaf", 8.0)
     cluster.heal_at("mid", "leaf", 60.0)
+    to_mid = []
+    cluster.network.on_deliver.append(
+        lambda m: to_mid.append(m) if m.dst == "mid" else None)
     handle = cluster.start_transaction(spec)
     cluster.run_until(500.0)
     assert handle.committed
@@ -121,8 +124,9 @@ def test_pa_reports_only_to_immediate_coordinator():
     damaged = cluster.metrics.damaged_heuristics()
     assert len(damaged) == 1                  # but the damage is real
     # The immediate coordinator (mid) did receive the report.
-    mid_ctx = cluster.node("mid").ctx(spec.txn_id)
-    assert any(r.node == "leaf" for r in mid_ctx.reports)
+    reports = [r for m in to_mid if m.txn_id == spec.txn_id
+               for r in m.payload.get("reports", [])]
+    assert any(r["node"] == "leaf" for r in reports)
 
 
 def test_heuristic_survives_crash():
@@ -140,7 +144,7 @@ def test_heuristic_survives_crash():
     cluster.run_until(400.0)
     damaged = cluster.metrics.damaged_heuristics()
     assert len(damaged) == 1
-    assert cluster.node("s").ctx(spec.txn_id).state is TxnState.FORGOTTEN
+    assert cluster.node("s").final_state(spec.txn_id) is TxnState.FORGOTTEN
     del handle
 
 

@@ -72,3 +72,81 @@ def test_record_payload_access():
     assert record.get("missing", "dflt") == "dflt"
     assert "prepared" in record.describe()
     assert record.describe().startswith("*")  # forced marker
+
+
+# ----------------------------------------------------------------------
+# The per-transaction index answers what a linear scan of the log does
+# ----------------------------------------------------------------------
+TYPES = [LogRecordType.PREPARED, LogRecordType.COMMITTED,
+         LogRecordType.ABORTED, LogRecordType.END]
+
+
+def assert_index_matches_scan(storage):
+    records = storage.records()
+    for txn in sorted({r.txn_id for r in records} | {"missing"}):
+        scanned = [r for r in records if r.txn_id == txn]
+        assert storage.records_for(txn) == scanned
+        assert storage.last_record_for(txn) == \
+            (scanned[-1] if scanned else None)
+        for rtype in TYPES:
+            typed = [r for r in scanned if r.record_type == rtype]
+            assert storage.last_record_for(txn, rtype) == \
+                (typed[-1] if typed else None)
+            assert storage.has_record(txn, rtype) == bool(typed)
+
+
+def mixed_history(start=1, count=40):
+    return [rec(lsn, f"t{lsn % 7}", TYPES[lsn % len(TYPES)])
+            for lsn in range(start, start + count)]
+
+
+def test_index_matches_scan_after_appends():
+    storage = StableStorage()
+    history = mixed_history()
+    for lo in range(0, len(history), 9):
+        storage.append(history[lo:lo + 9])
+        assert_index_matches_scan(storage)
+
+
+def test_index_survives_a_rejected_append():
+    storage = StableStorage()
+    storage.append(mixed_history(count=5))
+    with pytest.raises(ValueError):
+        storage.append([rec(6, "t6"), rec(2, "t2")])
+    assert_index_matches_scan(storage)
+
+
+def test_records_for_returns_a_copy():
+    storage = StableStorage()
+    storage.append([rec(1, "a")])
+    storage.records_for("a").append(rec(2, "a"))
+    assert len(storage.records_for("a")) == 1
+
+
+def test_file_storage_index_after_load_compaction_and_torn_tail(tmp_path):
+    from repro.transport.storage import FileStableStorage
+
+    path = tmp_path / "n0.wal"
+    storage = FileStableStorage(path)
+    storage.append(mixed_history(1, 20))
+    storage.append([rec(21, "-", LogRecordType.CHECKPOINT)])
+    storage.append(mixed_history(22, 20))
+    assert_index_matches_scan(storage)
+    assert storage.compact()
+    assert storage.records()[0].lsn == 21
+    assert_index_matches_scan(storage)
+    storage.append(mixed_history(42, 5))
+    assert_index_matches_scan(storage)
+    storage.close()
+
+    reloaded = FileStableStorage(path, recover=True)
+    assert reloaded.torn_tail is None
+    assert_index_matches_scan(reloaded)
+    reloaded.close()
+
+    path.write_bytes(path.read_bytes()[:-7])          # tear the tail
+    torn = FileStableStorage(path, recover=True)
+    assert torn.torn_tail is not None
+    assert torn.records()[-1].lsn == 45
+    assert_index_matches_scan(torn)
+    torn.close()

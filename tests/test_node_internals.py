@@ -6,7 +6,9 @@ from repro.analysis.sweeps import rows_to_csv
 from repro.core.cluster import Cluster
 from repro.core.config import PRESUMED_ABORT
 from repro.core.spec import flat_tree
+from repro.core.states import TxnState
 from repro.errors import ProtocolError
+from repro.log.records import LogRecordType
 from repro.lrm.operations import write_op
 from repro.net.message import Message, MessageType
 
@@ -109,6 +111,35 @@ class TestContextManagement:
         assert not node.context_live(context)
         node.restart()
         assert not node.context_live(context)  # pre-crash object
+
+    def test_forgotten_txn_id_cannot_be_reused(self, cluster):
+        node = cluster.node("a")
+        node.transition(node._new_context("done"), TxnState.FORGOTTEN)
+        assert node.ctx("done") is None
+        with pytest.raises(ProtocolError):
+            node._new_context("done")
+        node.crash()
+        assert node.final_state("done") is None   # tombstones are volatile
+
+    def test_implied_acks_apply_in_context_creation_order(self, cluster):
+        """END records follow creation order, whatever order the
+        contexts started waiting in."""
+        node = cluster.node("a")
+        contexts = [node._new_context(txn) for txn in ("t1", "t2", "t3")]
+        for context in reversed(contexts):
+            context.delegated_from = "b"
+            context.outcome = "commit"
+            context.logged_anything = True
+            node.transition(context, TxnState.COMMITTED)
+            node.await_implied_ack(context)
+        assert node.implied_ack_waiters("b") == contexts
+        node.receive(Message(msg_type=MessageType.DATA, txn_id="app",
+                             src="b", dst="a"))
+        ends = [r.txn_id for r in node.log.all_records()
+                if r.record_type is LogRecordType.END]
+        assert ends == ["t1", "t2", "t3"]
+        assert node.implied_ack_waiters() == []
+        assert node.contexts == {}
 
     def test_begin_requires_matching_root(self, cluster):
         spec = flat_tree("b", ["a"])

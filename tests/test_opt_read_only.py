@@ -73,9 +73,9 @@ def test_reader_does_not_learn_outcome():
     cluster = Cluster(PRESUMED_ABORT, nodes=["c", "u", "r"])
     spec = spec_with_readers("c", ["u"], ["r"])
     cluster.run_transaction(spec)
-    context = cluster.node("r").ctx(spec.txn_id)
-    assert context.state is TxnState.READ_ONLY_DONE
-    assert context.outcome is None
+    reader = cluster.node("r")
+    assert reader.final_state(spec.txn_id) is TxnState.READ_ONLY_DONE
+    assert reader.tombstone(spec.txn_id).outcome is None
 
 
 def test_cascaded_votes_read_only_only_if_whole_subtree_is():
@@ -88,7 +88,7 @@ def test_cascaded_votes_read_only_only_if_whole_subtree_is():
         ParticipantSpec(node="mid", parent="root", ops=[read_op("a")]),
         ParticipantSpec(node="leaf", parent="mid", ops=[read_op("b")])])
     cluster.run_transaction(spec)
-    assert cluster.node("mid").ctx(spec.txn_id).state \
+    assert cluster.node("mid").final_state(spec.txn_id) \
         is TxnState.READ_ONLY_DONE
     assert cluster.metrics.total_log_writes(node="mid",
                                             txn=spec.txn_id) == 0
@@ -101,7 +101,7 @@ def test_cascaded_votes_read_only_only_if_whole_subtree_is():
         ParticipantSpec(node="leaf", parent="mid",
                         ops=[write_op("b", 2)])])
     cluster2.run_transaction(spec2)
-    assert cluster2.node("mid").ctx(spec2.txn_id).state \
+    assert cluster2.node("mid").final_state(spec2.txn_id) \
         is TxnState.FORGOTTEN
     assert cluster2.metrics.forced_log_writes(node="mid",
                                               txn=spec2.txn_id) == 2

@@ -54,7 +54,7 @@ class TestSubordinateCrash:
         cluster.run_until(300.0)
         assert handle.committed
         assert cluster.value("s", "key-s") == 1
-        assert cluster.node("s").ctx(spec.txn_id).state \
+        assert cluster.node("s").final_state(spec.txn_id) \
             is TxnState.FORGOTTEN
 
     def test_in_doubt_crash_pn_coordinator_drives(self):
@@ -123,7 +123,7 @@ class TestCoordinatorCrash:
         cluster.start_transaction(spec)
         cluster.run_until(300.0)
         assert cluster.value("s", "key-s") is None
-        assert cluster.node("s").ctx(spec.txn_id).state \
+        assert cluster.node("s").final_state(spec.txn_id) \
             is TxnState.FORGOTTEN
 
     def test_pn_crash_after_commit_pending_aborts_everywhere(self):
