@@ -18,9 +18,10 @@ Three configurations of the same protocol workload (a stream of
   cost of the chaos hook from above: the true disabled path
   (``Network.adversary is None``, what every other configuration
   here runs) does strictly less work per send;
-* **journal on** — a :class:`repro.obs.JournalRecorder` (columnar)
-  writing the full causally-linked flight-recorder journal: every
-  flow, log write, force and lock event.
+* **journal on** — a :class:`repro.obs.JournalRecorder` (the
+  list-backed recorder ``repro-2pc serve`` attaches) writing the full
+  causally-linked flight-recorder journal: every flow, log write,
+  force and lock event.
 
 The committed trajectory lives in ``BENCH_obs.json`` (written by
 ``python benchmarks/run_baseline.py --update``); the check gate fails
@@ -72,7 +73,7 @@ def run_workload(n_txns: int, tracing: bool = False,
     recorder = None
     if journaling:
         from repro.obs import JournalRecorder
-        recorder = JournalRecorder(columnar=True).attach(cluster)
+        recorder = JournalRecorder().attach(cluster)
     profiler = KernelProfiler() if profiling else None
     if profiler is not None:
         cluster.simulator.set_profiler(profiler)

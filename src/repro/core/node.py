@@ -144,6 +144,15 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
     def all_rms(self) -> List[ResourceManager]:
         return [self.default_rm] + list(self.detached_rms.values())
 
+    def logs(self) -> List[LogManager]:
+        """This node's distinct logs: the TM log first, then each
+        detached RM's private log in attach order."""
+        logs = [self.log]
+        for rm in self.detached_rms.values():
+            if rm.log not in logs:
+                logs.append(rm.log)
+        return logs
+
     # ------------------------------------------------------------------
     # Context management
     # ------------------------------------------------------------------
@@ -516,10 +525,9 @@ class TMNode(VotingMixin, DecisionMixin, HeuristicMixin, RecoveryMixin):
         self.tombstones.clear()
         self._implied_ack_waiters.clear()
         self._deferred_outbox.clear()
-        self.log.crash()
+        for log in self.logs():
+            log.crash()
         for rm in self.all_rms():
-            if rm.log is not self.log:
-                rm.log.crash()
             rm.crash()
         self.note("-", "CRASH")
 

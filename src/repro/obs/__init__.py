@@ -3,7 +3,8 @@
 Strictly a consumer of hooks exposed by the lower layers (``core``,
 ``log``, ``lrm``, ``net``, ``sim``) — nothing below imports this
 package, and a cluster with no instrument attached does zero
-observability work.
+observability work.  Every instrument attaches through one seam,
+:mod:`repro.core.hooks`.
 
 * :class:`SpanTracer` — per-transaction span trees from protocol
   state transitions, log forces and message deliveries; exportable as
@@ -34,16 +35,15 @@ from repro.obs.audit import (AuditFinding, ConformanceAuditor,
                              expected_costs, merge_audit_cells,
                              run_audit_cell, run_audit_matrix,
                              run_faulty_audit_cell)
-from repro.metrics.columns import (ColumnarTraceLog, CostTape,
-                                   FloatColumn, IntColumn, PairColumn,
+from repro.metrics.columns import (FloatColumn, IntColumn, PairColumn,
                                    StringInterner)
 from repro.obs.causal import CausalGraph, build_causal_graph
 from repro.obs.diff import (Divergence, diff_journals,
                             record_workload_journal,
                             run_journal_self_check)
 from repro.obs.journal import (JournalEntry, JournalRecorder,
-                               JournalTape, journal_from_jsonl,
-                               journal_to_jsonl, normalize_txn_ids)
+                               journal_from_jsonl, journal_to_jsonl,
+                               normalize_txn_ids)
 from repro.obs.ledger import CostLedger, LockHold, TxnLedger
 from repro.obs.profiler import KernelProfiler
 from repro.obs.registry import (MetricFamily, MetricsRegistry,
@@ -62,16 +62,13 @@ from repro.obs.tracer import PHASE_OF_STATE, SpanTracer
 __all__ = [
     "AuditFinding",
     "CausalGraph",
-    "ColumnarTraceLog",
     "ConformanceAuditor",
     "CostLedger",
-    "CostTape",
     "Divergence",
     "FloatColumn",
     "IntColumn",
     "JournalEntry",
     "JournalRecorder",
-    "JournalTape",
     "PairColumn",
     "StringInterner",
     "KernelProfiler",

@@ -140,13 +140,14 @@ def diff_journals(expected: Sequence[JournalEntry],
     for site, a_seq in a_sites.items():
         for a_entry, b_entry in zip(a_seq, b_sites[site]):
             a_to_b[a_entry.eid] = b_entry.eid
+    mapped_eids = set(a_to_b.values())
     for site in sorted(a_sites):
         for position, (a_entry, b_entry) in enumerate(
                 zip(a_sites[site], b_sites[site])):
             mapped = sorted(a_to_b[p] for p in a_entry.parents
                             if p in a_to_b)
             actual = sorted(p for p in b_entry.parents
-                            if p in a_to_b.values())
+                            if p in mapped_eids)
             if mapped != actual:
                 candidates.append(Divergence(
                     site, position,
@@ -162,8 +163,8 @@ def diff_journals(expected: Sequence[JournalEntry],
 # Self-check: record -> replay -> diff must be empty
 # ----------------------------------------------------------------------
 def record_workload_journal(config, seed: int = 11, txns: int = 8,
-                            nodes: Optional[Sequence[str]] = None,
-                            columnar: bool = False) -> List[JournalEntry]:
+                            nodes: Optional[Sequence[str]] = None
+                            ) -> List[JournalEntry]:
     """Run a seeded generated workload under a journal recorder and
     return the txn-normalized entries."""
     from repro.core.cluster import Cluster
@@ -172,7 +173,7 @@ def record_workload_journal(config, seed: int = 11, txns: int = 8,
 
     node_names = list(nodes or ["n0", "n1", "n2"])
     cluster = Cluster(config, nodes=node_names, seed=seed)
-    recorder = JournalRecorder(columnar=columnar).attach(cluster)
+    recorder = JournalRecorder().attach(cluster)
     generator = WorkloadGenerator(
         node_names, WorkloadParams(read_only_fraction=0.3, key_space=4),
         RandomStream(seed))

@@ -36,20 +36,17 @@ Every entry also carries the protocol phase the (txn, node) pair was
 in when the action happened, so divergence reports can say *where in
 the protocol* two runs forked.
 
-Storage is either a plain list of :class:`JournalEntry` objects or —
-``JournalRecorder(columnar=True)`` — a :class:`JournalTape` built on
-:mod:`repro.metrics.columns` primitives (interned strings + typed
-array buffers, entries materialized lazily).  Serialisation is
-schema-versioned JSONL: a header line naming :data:`SCHEMA`, then one
-entry per line.
+Entries are kept as a list of :class:`JournalEntry` objects.
+Serialisation is schema-versioned JSONL: a header line naming
+:data:`SCHEMA`, then one entry per line.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.metrics.columns import FloatColumn, IntColumn, StringInterner
+from repro.core.hooks import Observer
 
 #: Journal wire-format version; bumped on any incompatible change.
 SCHEMA = "repro-journal/1"
@@ -157,113 +154,17 @@ class JournalEntry:
         return f"<JournalEntry #{self.eid} {self.describe()}>"
 
 
-class JournalTape:
-    """Columnar journal storage: one interned/typed column per field.
-
-    Same layout idea as
-    :class:`~repro.metrics.columns.ColumnarTraceLog`: strings intern
-    to small ints, scalars live in typed array buffers, and variable-
-    length parent lists flatten into one int column indexed by a
-    per-entry offset column.  Entries materialize lazily on read.
-    """
-
-    __slots__ = ("_t", "_kind", "_node", "_txn", "_phase", "_ref",
-                 "_peer", "_lsn", "_forced", "_par_flat", "_par_start",
-                 "_interner")
-
-    def __init__(self) -> None:
-        self._interner = StringInterner()
-        self._t = FloatColumn()
-        self._kind = IntColumn()
-        self._node = IntColumn()
-        self._txn = IntColumn()
-        self._phase = IntColumn()
-        self._ref = IntColumn()
-        self._peer = IntColumn()
-        self._lsn = IntColumn()      # -1 encodes None
-        self._forced = IntColumn()   # -1 none / 0 false / 1 true
-        self._par_flat = IntColumn()
-        self._par_start = IntColumn()
-
-    def append_fields(self, t: float, kind: str, node: str,
-                      txn: Optional[str], phase: Optional[str],
-                      ref: Optional[str], peer: Optional[str],
-                      lsn: Optional[int], forced: Optional[bool],
-                      parents: Sequence[int]) -> None:
-        intern = self._interner.intern
-        self._t.append(t)
-        self._kind.append(intern(kind))
-        self._node.append(intern(node))
-        self._txn.append(intern(txn))
-        self._phase.append(intern(phase))
-        self._ref.append(intern(ref))
-        self._peer.append(intern(peer))
-        self._lsn.append(-1 if lsn is None else lsn)
-        self._forced.append(-1 if forced is None else int(forced))
-        self._par_start.append(len(self._par_flat))
-        for parent in parents:
-            self._par_flat.append(parent)
-
-    def _materialize(self, index: int) -> JournalEntry:
-        lookup = self._interner.lookup
-        start = self._par_start[index]
-        end = (self._par_start[index + 1] if index + 1 < len(self._t)
-               else len(self._par_flat))
-        lsn = self._lsn[index]
-        forced = self._forced[index]
-        return JournalEntry(
-            eid=index, t=self._t[index],
-            kind=lookup(self._kind[index]),
-            node=lookup(self._node[index]),
-            txn=lookup(self._txn[index]),
-            phase=lookup(self._phase[index]),
-            ref=lookup(self._ref[index]),
-            peer=lookup(self._peer[index]),
-            lsn=None if lsn < 0 else lsn,
-            forced=None if forced < 0 else bool(forced),
-            parents=[self._par_flat[i] for i in range(start, end)])
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def __iter__(self) -> Iterator[JournalEntry]:
-        for index in range(len(self._t)):
-            yield self._materialize(index)
-
-    def __getitem__(self, index: int) -> JournalEntry:
-        if index < 0:
-            index += len(self._t)
-        if not 0 <= index < len(self._t):
-            raise IndexError("journal index out of range")
-        return self._materialize(index)
-
-
-class JournalRecorder:
+class JournalRecorder(Observer):
     """Records a cluster run as a causally-linked journal.
 
-    Attach/detach follow the Tracer contract: attaching twice to the
-    same cluster is a no-op, attaching elsewhere while attached
-    raises, ``detach()`` removes every installed hook and is
-    idempotent.  All installs are list-appends, so an unattached
-    cluster pays nothing.
-
-    ``columnar`` stores entries in a :class:`JournalTape` instead of a
-    Python list (same entries, array-backed).  ``kernel_events``
-    additionally journals every simulator event dispatch (huge —
-    debugging only).
+    Attach and detach follow :class:`~repro.core.hooks.Observer`.
+    ``kernel_events`` additionally journals every simulator event
+    dispatch (huge — debugging only).
     """
 
-    def __init__(self, columnar: bool = False,
-                 kernel_events: bool = False) -> None:
-        self.cluster = None
-        self.columnar = columnar
+    def __init__(self, kernel_events: bool = False) -> None:
         self.kernel_events = kernel_events
-        self._tape: Optional[JournalTape] = (JournalTape() if columnar
-                                             else None)
         self._entries: List[JournalEntry] = []
-        self._n = 0
-        self._installed: List[Tuple[list, object]] = []
-        self._kernel_hook = None
         # Causal bookkeeping.
         self._last_at_site: Dict[str, int] = {}
         self._last_txn_site: Dict[Tuple[str, str], int] = {}
@@ -273,72 +174,15 @@ class JournalRecorder:
         self._waits: Dict[Tuple[str, str, str], int] = {}
         self._grants: Dict[Tuple[str, str, str], int] = {}
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, cluster) -> "JournalRecorder":
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("JournalRecorder is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
-        for node in cluster.nodes.values():
-            install(node.on_transition, self._on_transition)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = getattr(rm, "log", None)
-                if log is None or id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, self._on_write)
-                install(log.on_flush, self._on_flush)
-            for rm in node.all_rms():
-                locks = rm.locks
-                node_name = node.name
-
-                def on_wait(txn_id, key, mode, _node=node_name):
-                    self._on_wait(_node, txn_id, key, mode)
-
-                def on_grant(txn_id, key, mode, _node=node_name):
-                    self._on_grant(_node, txn_id, key, mode)
-
-                def on_release(txn_id, key, _node=node_name):
-                    self._on_release(_node, txn_id, key)
-
-                install(locks.on_wait, on_wait)
-                install(locks.on_grant, on_grant)
-                install(locks.on_release, on_release)
+    def handlers(self, cluster) -> Dict[str, Callable]:
+        handlers = {"send": self._on_send, "deliver": self._on_deliver,
+                    "transition": self._on_transition,
+                    "write": self._on_write, "flush": self._on_flush,
+                    "wait": self._on_wait, "grant": self._on_grant,
+                    "release": self._on_release}
         if self.kernel_events:
-            def on_event(event) -> None:
-                self._on_kernel(event)
-            self._kernel_hook = on_event
-            cluster.simulator.add_event_hook(on_event)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        if self.cluster is not None and self._kernel_hook is not None:
-            self.cluster.simulator.remove_event_hook(self._kernel_hook)
-        self._kernel_hook = None
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+            handlers["event"] = self._on_kernel
+        return handlers
 
     # ------------------------------------------------------------------
     # Emission
@@ -352,7 +196,7 @@ class JournalRecorder:
               peer: Optional[str] = None, lsn: Optional[int] = None,
               forced: Optional[bool] = None,
               extra_parents: Sequence[Optional[int]] = ()) -> int:
-        eid = self._n
+        eid = len(self._entries)
         parents: List[int] = []
         previous = self._last_at_site.get(site)
         if previous is not None:
@@ -360,15 +204,10 @@ class JournalRecorder:
         for parent in extra_parents:
             if parent is not None and parent not in parents:
                 parents.append(parent)
-        if self._tape is not None:
-            self._tape.append_fields(self._now, kind, site, txn, phase,
-                                     ref, peer, lsn, forced, parents)
-        else:
-            self._entries.append(JournalEntry(
-                eid=eid, t=self._now, kind=kind, node=site, txn=txn,
-                phase=phase, ref=ref, peer=peer, lsn=lsn, forced=forced,
-                parents=parents))
-        self._n = eid + 1
+        self._entries.append(JournalEntry(
+            eid=eid, t=self._now, kind=kind, node=site, txn=txn,
+            phase=phase, ref=ref, peer=peer, lsn=lsn, forced=forced,
+            parents=parents))
         self._last_at_site[site] = eid
         if txn is not None:
             self._last_txn_site[(txn, site)] = eid
@@ -452,12 +291,9 @@ class JournalRecorder:
     # Queries / export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._n
+        return len(self._entries)
 
     def entries(self) -> List[JournalEntry]:
-        """The journal as entry objects (materialized when columnar)."""
-        if self._tape is not None:
-            return list(self._tape)
         return list(self._entries)
 
     def to_jsonl(self, meta: Optional[Dict[str, object]] = None) -> str:

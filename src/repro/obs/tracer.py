@@ -14,9 +14,9 @@ network.on_deliver    close it at the receiver
 node.on_note          attach protocol notes as point events
 ====================  ==============================================
 
-All hooks are list-append installs, so an unattached cluster pays
-nothing — the hook lists stay empty and the kernel's ``if hooks:``
-fast paths skip them.
+All hooks install through :mod:`repro.core.hooks`, so an unattached
+cluster pays nothing — the hook lists stay empty and the kernel's
+``if hooks:`` fast paths skip them.
 
 The span tree for one committed transaction (Figure 2's Presumed
 Abort flow) looks like::
@@ -39,8 +39,9 @@ Abort flow) looks like::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.hooks import Observer
 from repro.core.states import TxnState
 from repro.obs.span import (KIND_LOG, KIND_MESSAGE, KIND_PHASE, KIND_TXN,
                             Span)
@@ -65,68 +66,24 @@ ROOT_FINAL_STATES = frozenset({
 })
 
 
-class SpanTracer:
-    """Collects spans from one cluster.  Attach, run, export."""
+class SpanTracer(Observer):
+    """Collects spans from one cluster.  Attach, run, export.
+
+    Attach and detach follow :class:`~repro.core.hooks.Observer`.
+    """
 
     def __init__(self) -> None:
-        self.cluster = None
         self.spans: List[Span] = []
         self._next_id = 1
         self._roots: Dict[str, Span] = {}                # txn -> root span
         self._phases: Dict[Tuple[str, str], Span] = {}   # (txn, node) -> span
         self._forces: Dict[Tuple[int, int], Span] = {}   # (log id, lsn)
         self._messages: Dict[int, Span] = {}             # msg_id -> span
-        self._installed: List[Tuple[list, object]] = []
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    def attach(self, cluster) -> "SpanTracer":
-        """Install hooks on every node, log and the network.
-
-        Attaching twice to the same cluster is a no-op; attaching to a
-        different cluster while still attached is an error (detach
-        first).
-        """
-        if self.cluster is cluster:
-            return self
-        if self.cluster is not None:
-            raise RuntimeError("SpanTracer is already attached to a "
-                               "different cluster; detach() first")
-        self.cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
-        for node in cluster.nodes.values():
-            install(node.on_transition, self._on_transition)
-            install(node.on_note, self._on_note)
-            seen_logs = set()
-            for rm in [node] + node.all_rms():
-                log = rm.log
-                if id(log) in seen_logs:
-                    continue
-                seen_logs.add(id(log))
-                install(log.on_write, self._on_write)
-                install(log.on_flush, self._on_flush)
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook (idempotent)."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self.cluster = None
-
-    @property
-    def attached(self) -> bool:
-        return self.cluster is not None
+    def handlers(self, cluster) -> Dict[str, Callable]:
+        return {"send": self._on_send, "deliver": self._on_deliver,
+                "transition": self._on_transition, "note": self._on_note,
+                "write": self._on_write, "flush": self._on_flush}
 
     # ------------------------------------------------------------------
     # Span bookkeeping

@@ -37,13 +37,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core.hooks import Observer
 from repro.faults.injector import CrashSite
 from repro.log.records import LogRecord
 from repro.net.message import Message
 from repro.sim.kernel import EventInterrupt
 
 
-class SiteRecorder:
+class SiteRecorder(Observer):
     """Collects every crash site fired during a (clean) run.
 
     Counting contract (shared with :class:`ArmedCrash`, which must
@@ -51,53 +52,17 @@ class SiteRecorder:
     records across all of the node's logs in write order; ``send``
     counts ``network.on_send`` firings with the node as source;
     ``deliver`` counts ``network.on_deliver`` firings with the node as
-    destination.
+    destination.  Attach and detach follow
+    :class:`~repro.core.hooks.Observer`.
     """
 
     def __init__(self) -> None:
         self.sites: List[CrashSite] = []
         self._counts: Dict[Tuple[str, str], int] = {}
-        self._cluster = None
-        #: (hook list, installed callable) pairs, so detach() removes
-        #: exactly what attach() added.
-        self._installed: List[tuple] = []
 
-    def attach(self, cluster) -> "SiteRecorder":
-        """Install observation hooks (same contract as Tracer: same
-        cluster re-attach is a no-op, different cluster is an error)."""
-        if self._cluster is cluster:
-            return self
-        if self._cluster is not None:
-            raise RuntimeError("SiteRecorder is already attached to a "
-                               "different cluster; detach() first")
-        self._cluster = cluster
-
-        def install(hook_list: list, hook) -> None:
-            hook_list.append(hook)
-            self._installed.append((hook_list, hook))
-
-        install(cluster.network.on_send, self._on_send)
-        install(cluster.network.on_deliver, self._on_deliver)
-        for node in cluster.nodes.values():
-            install(node.log.on_write,
-                    lambda record, name=node.name: self._on_write(
-                        name, record))
-            for rm in node.detached_rms.values():
-                if rm.log is not node.log:
-                    install(rm.log.on_write,
-                            lambda record, name=node.name: self._on_write(
-                                name, record))
-        return self
-
-    def detach(self) -> None:
-        """Remove every installed hook; keeps collected sites."""
-        for hook_list, hook in self._installed:
-            try:
-                hook_list.remove(hook)
-            except ValueError:
-                pass
-        self._installed = []
-        self._cluster = None
+    def handlers(self, cluster) -> Dict[str, Callable]:
+        return {"send": self._on_send, "deliver": self._on_deliver,
+                "write": self._on_write}
 
     # ------------------------------------------------------------------
     def _next_seq(self, kind: str, node: str) -> int:
@@ -106,9 +71,11 @@ class SiteRecorder:
         self._counts[key] = seq + 1
         return seq
 
-    def _on_write(self, node: str, record: LogRecord) -> None:
+    def _on_write(self, record: LogRecord) -> None:
         if not record.forced:
             return
+        # A detached RM's private log writes as "node/rm".
+        node = record.node.split("/", 1)[0]
         seq = self._next_seq("force", node)
         self.sites.append(CrashSite("force", node, seq,
                                     label=record.record_type.value))
@@ -173,9 +140,7 @@ class ArmedCrash:
             if self.when == "post":
                 self._install(network.on_handled, self._on_handled)
         else:  # force
-            logs = [node.log] + [rm.log for rm in node.detached_rms.values()
-                                 if rm.log is not node.log]
-            for log in logs:
+            for log in node.logs():
                 self._install(log.on_write,
                               lambda record, log=log: self._on_write(
                                   log, record),

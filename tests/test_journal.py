@@ -49,10 +49,10 @@ def default_queue():
     Simulator.default_queue_class = saved
 
 
-def record_simple_run(columnar=False, txns=2):
+def record_simple_run(txns=2):
     """Journal ``txns`` 3-node PA commits; returns (entries, cluster)."""
     cluster = Cluster(PRESUMED_ABORT, nodes=["c", "s1", "s2"])
-    recorder = JournalRecorder(columnar=columnar).attach(cluster)
+    recorder = JournalRecorder().attach(cluster)
     for i in range(txns):
         cluster.run_transaction(
             updating_spec("c", ["s1", "s2"], txn_id=f"T{i}"))
@@ -176,11 +176,6 @@ class TestJournalRecorder:
                                 and e.ref == "commit" and e.forced]
         assert all(e.phase in ("committing", "preparing")
                    for e in forced_commit_writes)
-
-    def test_columnar_storage_is_identical(self):
-        plain, __ = record_simple_run(columnar=False)
-        columnar, __ = record_simple_run(columnar=True)
-        assert normalize_txn_ids(columnar) == normalize_txn_ids(plain)
 
     def test_attach_contract(self):
         first = Cluster(PRESUMED_ABORT, nodes=["c", "s"])
@@ -413,6 +408,28 @@ class TestDiff:
         assert divergence is not None
         assert "causal parents" in divergence.reason
 
+    def test_miswired_parent_in_generated_workload(self):
+        entries = record_workload_journal(PRESUMED_ABORT, seed=5, txns=8)
+        mutated = [JournalEntry.from_dict(e.to_dict()) for e in entries]
+        sends = {e.eid for e in mutated if e.kind == "send"}
+        delivers = [e for e in mutated if e.kind == "deliver"]
+        victim = delivers[len(delivers) // 2]
+        wrong = min(sends)
+        victim.parents = tuple(wrong if p in sends else p
+                               for p in victim.parents)
+        divergence = diff_journals(entries, mutated)
+        assert (divergence.site, divergence.position) == ("n1", 84)
+        assert divergence.reason == "causal parents pair different events"
+        assert divergence.expected.eid == divergence.observed.eid == 261
+        assert divergence.expected.parents == (241, 255)
+        assert divergence.observed.parents == (241, wrong)
+
+    def test_long_journals_diff_in_linear_time(self):
+        # 800 transactions make ~50k entries; a scan of the eid map per
+        # causal parent turned this into a ~45 s quadratic check.
+        entries = record_workload_journal(PRESUMED_ABORT, seed=3, txns=800)
+        assert diff_journals(entries, normalize_txn_ids(entries)) is None
+
     def test_ignore_time_compares_structure_only(self):
         entries, __ = record_simple_run(txns=1)
         shifted = []
@@ -567,7 +584,7 @@ class TestJournalCLI:
         assert cli_main(["journal", "presumed_abort", "--txns", "3",
                          "--out", str(a)]) == 0
         assert cli_main(["journal", "presumed_abort", "--txns", "3",
-                         "--out", str(b), "--columnar"]) == 0
+                         "--out", str(b)]) == 0
         assert cli_main(["diff", str(a), str(b)]) == 0
         assert "journals equivalent" in capsys.readouterr().out
 
@@ -606,8 +623,11 @@ def _hook_state(cluster):
     network = cluster.network
     for name in ("on_send", "on_transmit", "on_deliver", "on_handled"):
         state[f"network.{name}"] = list(getattr(network, name))
+    for name in ("on_transaction", "on_heuristic", "on_recovery"):
+        state[f"metrics.{name}"] = list(getattr(cluster.metrics, name))
     for node_name, node in cluster.nodes.items():
         state[f"{node_name}.on_transition"] = list(node.on_transition)
+        state[f"{node_name}.on_note"] = list(node.on_note)
         seen = set()
         for rm in [node] + node.all_rms():
             log = getattr(rm, "log", None)
